@@ -34,9 +34,8 @@ func main() {
 	}
 }
 
-// resolveWorkers maps a parallelism flag's 0 (-crypto-workers, -shards) to
-// all CPUs.
-func resolveWorkers(n int) int {
+// resolveCryptoWorkers maps the -crypto-workers flag's 0 to all CPUs.
+func resolveCryptoWorkers(n int) int {
 	if n == 0 {
 		return runtime.NumCPU()
 	}
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		resume     = fs.Bool("resume", false, "continue an interrupted experiment from the state in -checkpoint-dir")
 		retries    = fs.Int("retries", 0, "re-attempt failed simulations this many times with exponential backoff")
 		cryptoWork = fs.Int("crypto-workers", 1, "intra-run crypto worker pool size (0 = all CPUs, 1 = sequential); output is identical at any value")
-		shards     = fs.Int("shards", 1, "per-run warm-up shard count (0 = all CPUs, 1 = sequential); output is identical at any value")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -96,8 +94,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	opts := experiments.Options{Quick: *quick, Tiny: *tiny, Audit: *audit, Seed: *seed, Repeats: *repeats, Jobs: *jobs, TracePath: *tracePath,
 		Context: ctx, CheckpointEvery: sim.Time(*ckptEvery), Resume: *resume, Retries: *retries,
-		CryptoWorkers: resolveWorkers(*cryptoWork),
-		Shards:        resolveWorkers(*shards)}
+		CryptoWorkers: resolveCryptoWorkers(*cryptoWork)}
 	if *verbose {
 		opts.Progress = stderr
 	}

@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		ckptEvery = fs.Duration("checkpoint-every", 0, "virtual-time period between periodic checkpoints (0 = flush only on interruption)")
 		resume    = fs.Bool("resume", false, "continue an interrupted run from the state in -checkpoint-dir")
 		cryptoWrk = fs.Int("crypto-workers", 1, "intra-run crypto worker pool size (0 = all CPUs, 1 = sequential); results are identical at any value")
-		shards    = fs.Int("shards", 1, "warm-up shard count (0 = all CPUs, 1 = sequential); results are identical at any value")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -90,11 +89,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	// The registry exists for the whole invocation when inspecting, so the
+	// A telemetry report or a live inspector gets a registry for the whole
+	// invocation: without one the engine turns its timers off, and the
 	// trace_load span below and every run (repeats included) aggregate into
-	// the same live view.
+	// the same view.
 	var reg *give2get.Metrics
-	if *inspect != "" {
+	if *telemetry != "" || *inspect != "" {
 		reg = give2get.NewMetrics()
 	}
 
@@ -141,15 +141,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		OnlyOutsiders:   *outsiders,
 		RealCrypto:      *realCrypt,
 		CryptoWorkers:   *cryptoWrk,
-		Shards:          *shards,
 		Registry:        reg,
 		Context:         ctx,
 	}
 	if *cryptoWrk == 0 {
 		cfg.CryptoWorkers = runtime.NumCPU()
-	}
-	if *shards == 0 {
-		cfg.Shards = runtime.NumCPU()
 	}
 	if *deviants > 0 {
 		cfg.Deviation = give2get.Deviation(*deviation)

@@ -131,7 +131,16 @@ func TestRunTelemetryReport(t *testing.T) {
 		} `json:"protocol"`
 		Crypto struct {
 			Provider string `json:"provider"`
+			Sign     struct {
+				Count   int64 `json:"count"`
+				TotalNS int64 `json:"total_ns"`
+			} `json:"sign"`
 		} `json:"crypto"`
+		Spans []struct {
+			Name   string `json:"name"`
+			Count  int64  `json:"count"`
+			WallNS int64  `json:"wall_ns"`
+		} `json:"spans"`
 	}
 	if err := json.Unmarshal(b, &snap); err != nil {
 		t.Fatal(err)
@@ -142,6 +151,19 @@ func TestRunTelemetryReport(t *testing.T) {
 	}
 	if snap.Engine.Phases.Window.WallNS <= 0 {
 		t.Errorf("report missing phase timings:\n%s", b)
+	}
+	// -telemetry alone must time the run, not just count it.
+	if snap.Crypto.Sign.Count == 0 || snap.Crypto.Sign.TotalNS <= 0 {
+		t.Errorf("crypto sign timing not measured: count=%d total_ns=%d",
+			snap.Crypto.Sign.Count, snap.Crypto.Sign.TotalNS)
+	}
+	if len(snap.Spans) < 2 {
+		t.Errorf("span table has %d entries, want the run's phases:\n%s", len(snap.Spans), b)
+	}
+	for _, sp := range snap.Spans {
+		if sp.Count > 0 && sp.WallNS <= 0 {
+			t.Errorf("span %s: count %d but wall_ns %d", sp.Name, sp.Count, sp.WallNS)
+		}
 	}
 
 	tl, err := os.ReadFile(traceLog)

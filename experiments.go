@@ -25,7 +25,6 @@ func runExperiment(id string, opts ExperimentOptions) (string, error) {
 		Resume:          opts.Resume,
 		Retries:         opts.Retries,
 		CryptoWorkers:   opts.CryptoWorkers,
-		Shards:          opts.Shards,
 	})
 	if err != nil {
 		return "", err

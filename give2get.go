@@ -114,12 +114,6 @@ type SimulationConfig struct {
 	// are byte-identical at every worker count.
 	CryptoWorkers int
 
-	// Shards partitions the warm-up phase across this many goroutines, each
-	// replaying one community-aligned slice of the population (see
-	// engine.Config.Shards); 0 or 1 keeps the sequential path. Results —
-	// including audit digests — are byte-identical at every shard count.
-	Shards int
-
 	// EventLog, when non-nil, receives one JSON line per protocol event
 	// (generate, replicate, deliver, test, detect) during the run.
 	//
@@ -280,7 +274,6 @@ func engineConfig(cfg SimulationConfig, seed int64) (engine.Config, error) {
 		OnlyOutsiders: cfg.OnlyOutsiders,
 		Telemetry:     cfg.Registry,
 		CryptoWorkers: cfg.CryptoWorkers,
-		Shards:        cfg.Shards,
 	}
 	if cfg.RealCrypto {
 		ecfg.Crypto = engine.CryptoReal
@@ -521,10 +514,6 @@ type ExperimentOptions struct {
 	// 0 or 1 keeps the sequential path. Rendered output is byte-identical
 	// at every value.
 	CryptoWorkers int
-	// Shards partitions each simulation's warm-up phase across this many
-	// goroutines (see SimulationConfig.Shards); 0 or 1 keeps the sequential
-	// path. Rendered output is byte-identical at every value.
-	Shards int
 }
 
 // RunExperiment regenerates one of the paper's tables or figures and returns

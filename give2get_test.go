@@ -2,6 +2,8 @@ package give2get
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -333,5 +335,59 @@ func TestCampusSpatialPreset(t *testing.T) {
 	}
 	if res.Generated == 0 || res.Delivered == 0 {
 		t.Errorf("spatial run moved no messages: %+v", res)
+	}
+}
+
+// TestBinaryTraceRunAndResume streams a simulation from a .g2gt file written
+// by WriteBinary and resumes it from its last periodic checkpoint: both must
+// reproduce the in-memory run exactly.
+func TestBinaryTraceRunAndResume(t *testing.T) {
+	cfg := quickConfig(t, G2GEpidemic)
+	cfg.Audit = AuditConfig{Enabled: true}
+	ref, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.g2gt")
+	var buf bytes.Buffer
+	if err := cfg.Trace.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed.Contacts() != cfg.Trace.Contacts() || streamed.Nodes() != cfg.Trace.Nodes() {
+		t.Fatalf("binary trace has %d nodes/%d contacts, want %d/%d",
+			streamed.Nodes(), streamed.Contacts(), cfg.Trace.Nodes(), cfg.Trace.Contacts())
+	}
+	ccdf, err := streamed.InterContactCCDF(8)
+	if err != nil || len(ccdf) == 0 {
+		t.Fatalf("inter-contact CCDF of the binary trace: %v (%d points)", err, len(ccdf))
+	}
+
+	bcfg := cfg
+	bcfg.Trace = streamed
+	bcfg.CheckpointPath = filepath.Join(dir, "run.ckpt")
+	bcfg.CheckpointInterval = 90 * time.Minute
+	got, err := Run(bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AuditReport.Digest != ref.AuditReport.Digest {
+		t.Fatalf("streamed run digest %s, in-memory %s", got.AuditReport.Digest, ref.AuditReport.Digest)
+	}
+	resumed, err := Resume(bcfg.CheckpointPath, bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.AuditReport.Digest != ref.AuditReport.Digest || resumed.Delivered != ref.Delivered {
+		t.Fatalf("resumed run diverged: digest %s delivered %d, want %s/%d",
+			resumed.AuditReport.Digest, resumed.Delivered, ref.AuditReport.Digest, ref.Delivered)
 	}
 }

@@ -58,7 +58,7 @@ func assertSameOutcome(t *testing.T, ref, got *Result) {
 // arbitrary instant and resumed from its flushed checkpoint must be
 // indistinguishable — byte-identical audit digest, identical summaries —
 // from the same run left alone. The kill points cover all three phases
-// (warmup, window, drain) across three protocol/deviant configurations.
+// (warmup, window, drain) across four protocol/deviant configurations.
 func TestKillResumeDigestIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -67,8 +67,12 @@ func TestKillResumeDigestIdentical(t *testing.T) {
 		deviation protocol.Deviation
 		stopAt    sim.Time
 	}{
-		// Killed during warmup: quality tables half-built, no traffic yet.
+		// Killed during warmup: no traffic yet. Epidemic's ObserveMeeting is
+		// a no-op, so the delegation case is the one that restores a
+		// half-built quality table.
 		{"epidemic-warmup-kill", protocol.Epidemic, nil, protocol.Honest, 5 * sim.Hour},
+		{"g2g-delegation-warmup-kill", protocol.G2GDelegationLastContact,
+			[]trace.NodeID{2, 7}, protocol.Liar, 5 * sim.Hour},
 		// Killed mid-window at an odd instant: live custody, pending tests,
 		// active contacts, a partially consumed workload.
 		{"g2g-epidemic-window-kill", protocol.G2GEpidemic,

@@ -72,18 +72,6 @@ type Config struct {
 	// excluded from the checkpoint fingerprint, and a run may resume under a
 	// different count.
 	CryptoWorkers int
-	// Shards partitions the warm-up phase of the run across goroutines: nodes
-	// are assigned to shards along the k-clique community structure (the
-	// Communities override when set, detected communities when the outsider
-	// deviation already detected them, node-id hashing otherwise), each shard
-	// replays its nodes' warm-up contacts on a private kernel, and the shards
-	// synchronize at conservative barriers before the window phase runs
-	// sequentially from the exactly reconstructed state. 0 or 1 keeps the
-	// fully sequential path. The audit digest is byte-identical at any shard
-	// count, and — like CryptoWorkers — Shards is excluded from the
-	// checkpoint fingerprint, so a run may resume under a different count.
-	// See DESIGN.md "Sharded execution".
-	Shards int
 
 	// WindowFrom/WindowTo delimit the experiment window.
 	WindowFrom, WindowTo sim.Time
@@ -302,18 +290,6 @@ type engine struct {
 	startAt     sim.Time
 	endAt       sim.Time
 
-	// plan maps each node to its shard (nil when unsharded); runners are the
-	// live shard executors between prepareShards and mergeShards.
-	plan    []int
-	runners []*shardRunner
-	// ctrlFrom anchors finishRun's periodic-control chain after a sharded
-	// warm-up: the coordinator already handled every control instant up to
-	// the handoff barrier, while the main kernel's clock is still at zero.
-	ctrlFrom sim.Time
-	// wallStarted is when the sharded warm-up began, so finishRun attributes
-	// the full run's wall time rather than just the post-handoff part.
-	wallStarted time.Time
-
 	// wallAtWindowFrom/To capture the wall clock as the run crosses the
 	// window boundaries, for per-phase wall attribution.
 	wallAtWindowFrom time.Time
@@ -481,10 +457,6 @@ func newEngine(cfg Config) (*engine, error) {
 		e.startAt = 0
 	}
 	e.endAt = cfg.WindowTo + cfg.RunExtra
-	if n := e.shardCount(); n > 1 {
-		e.buildShardPlan(n)
-		observer.shards = e.plan
-	}
 	return e, nil
 }
 
@@ -528,11 +500,6 @@ func (e *engine) run() (*Result, error) {
 	s := sim.New()
 	s.SetStats(&e.metrics.Sim)
 	defer e.closeCursor() // release the contact stream on every exit path
-	defer e.closeShards() // and the shard cursors on error paths
-
-	if e.shardCount() > 1 {
-		return e.runSharded(s)
-	}
 
 	e.spans.Enter(obs.SpanSchedule)
 	err := e.scheduleAll(s)
@@ -578,11 +545,7 @@ func (e *engine) probeWindowTo(*sim.Simulator) {
 // result: the shared tail of a fresh run() and a checkpointed Resume.
 func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 	if e.cfg.Checkpoint.Every > 0 {
-		ctrlAnchor := s.Now()
-		if e.ctrlFrom > ctrlAnchor {
-			ctrlAnchor = e.ctrlFrom
-		}
-		if next := e.nextControlAt(ctrlAnchor); next < e.endAt {
+		if next := e.nextControlAt(s.Now()); next < e.endAt {
 			if err := s.ScheduleEvent(sim.Event{
 				At: next, Pri: PriControl, H: e, Op: opControl, P: ctrlPeriodic,
 			}); err != nil {
@@ -618,10 +581,7 @@ func (e *engine) finishRun(s *sim.Simulator) (*Result, error) {
 	}
 
 	stopProgress := e.startProgress()
-	wallStart := e.wallStarted
-	if wallStart.IsZero() {
-		wallStart = time.Now()
-	}
+	wallStart := time.Now()
 	endedAt, err := s.RunUntil(e.endAt)
 	wallEnd := time.Now()
 	stopProgress()

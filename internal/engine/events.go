@@ -33,20 +33,6 @@ type runObserver struct {
 	// spans attributes the shadow-model folding to the "audit" span; it is
 	// the run's recorder, shared with the engine and the protocol Env.
 	spans *obs.SpanRecorder
-	// shards is the node→shard plan of a sharded run, nil otherwise. Records
-	// carrying a node are tagged with that node's shard so flight-recorder
-	// output can be sliced per shard; with a nil plan the tag stays -1 and
-	// the record encodes byte-identically to an unsharded run's.
-	shards []int
-}
-
-// shardOf returns the shard owning node n, or -1 when the run is unsharded
-// or n is out of the plan's range.
-func (o *runObserver) shardOf(n trace.NodeID) int {
-	if o.shards == nil || int(n) < 0 || int(n) >= len(o.shards) {
-		return -1
-	}
-	return o.shards[n]
 }
 
 var (
@@ -71,7 +57,6 @@ func (o *runObserver) Generated(h g2gcrypto.Digest, id message.ID, src, dst trac
 		rec.Wall = time.Now()
 		rec.Msg = shortHash(h)
 		rec.From, rec.To = int(src), int(dst)
-		rec.Shard = o.shardOf(src)
 		o.sink.Emit(rec)
 	}
 }
@@ -90,7 +75,6 @@ func (o *runObserver) Replicated(h g2gcrypto.Digest, from, to trace.NodeID, at s
 		rec.Wall = time.Now()
 		rec.Msg = shortHash(h)
 		rec.From, rec.To = int(from), int(to)
-		rec.Shard = o.shardOf(from)
 		o.sink.Emit(rec)
 	}
 }
@@ -125,7 +109,6 @@ func (o *runObserver) Detected(accused trace.NodeID, reason wire.MisbehaviorReas
 		rec.Wall = time.Now()
 		rec.Msg = shortHash(h)
 		rec.Node = int(accused)
-		rec.Shard = o.shardOf(accused)
 		rec.Reason = reason.String()
 		o.sink.Emit(rec)
 	}
@@ -143,7 +126,6 @@ func (o *runObserver) Tested(accused trace.NodeID, passed bool, at sim.Time) {
 		rec := obs.NewRecord(time.Duration(at), obs.LevelDebug, "test")
 		rec.Wall = time.Now()
 		rec.Node = int(accused)
-		rec.Shard = o.shardOf(accused)
 		rec.Passed, rec.HasPassed = passed, true
 		o.sink.Emit(rec)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"strings"
@@ -118,22 +119,30 @@ func TestRunTelemetrySnapshot(t *testing.T) {
 	}
 }
 
-// TestTracingDoesNotPerturbRun: attaching sinks and telemetry must leave the
-// simulation bit-identical in virtual time.
+// TestTracingDoesNotPerturbRun: attaching sinks, telemetry and a live (never
+// cancelled) context must leave the simulation bit-identical in virtual time,
+// audit digest included.
 func TestTracingDoesNotPerturbRun(t *testing.T) {
-	plain := baseConfig(t, protocol.G2GEpidemic)
+	plain := auditConfig(t, protocol.G2GEpidemic)
 	ref, err := Run(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	traced := baseConfig(t, protocol.G2GEpidemic)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	traced := auditConfig(t, protocol.G2GEpidemic)
 	ring := obs.NewRingSink(64, obs.LevelInfo)
 	traced.TraceSink = obs.Multi(ring, obs.NewJSONSink(io.Discard, obs.LevelDebug))
 	traced.Telemetry = obs.NewMetrics()
+	traced.Context = ctx
 	got, err := Run(traced)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Audit.Digest != ref.Audit.Digest {
+		t.Fatalf("tracing or a live context changed the audit digest: %s vs %s",
+			ref.Audit.Digest, got.Audit.Digest)
 	}
 	if ref.Summary != got.Summary {
 		t.Fatalf("tracing changed the run:\n%+v\n%+v", ref.Summary, got.Summary)
