@@ -17,7 +17,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -32,14 +31,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "g2gexp:", err)
 		os.Exit(1)
 	}
-}
-
-// resolveCryptoWorkers maps the -crypto-workers flag's 0 to all CPUs.
-func resolveCryptoWorkers(n int) int {
-	if n == 0 {
-		return runtime.NumCPU()
-	}
-	return n
 }
 
 func run(args []string, stdout, stderr io.Writer) (err error) {
@@ -63,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		ckptEvery  = fs.Duration("checkpoint-every", 0, "virtual-time period between periodic per-run checkpoints (0 = flush only on interruption)")
 		resume     = fs.Bool("resume", false, "continue an interrupted experiment from the state in -checkpoint-dir")
 		retries    = fs.Int("retries", 0, "re-attempt failed simulations this many times with exponential backoff")
-		cryptoWork = fs.Int("crypto-workers", 1, "intra-run crypto worker pool size (0 = all CPUs, 1 = sequential); output is identical at any value")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -93,8 +83,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	defer stopSignals()
 
 	opts := experiments.Options{Quick: *quick, Tiny: *tiny, Audit: *audit, Seed: *seed, Repeats: *repeats, Jobs: *jobs, TracePath: *tracePath,
-		Context: ctx, CheckpointEvery: sim.Time(*ckptEvery), Resume: *resume, Retries: *retries,
-		CryptoWorkers: resolveCryptoWorkers(*cryptoWork)}
+		Context: ctx, CheckpointEvery: sim.Time(*ckptEvery), Resume: *resume, Retries: *retries}
 	if *verbose {
 		opts.Progress = stderr
 	}

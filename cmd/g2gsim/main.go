@@ -19,7 +19,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -60,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		ckptDir   = fs.String("checkpoint-dir", "", "directory for crash-safe state: SIGINT/SIGTERM flushes a checkpoint there, and -resume continues from it")
 		ckptEvery = fs.Duration("checkpoint-every", 0, "virtual-time period between periodic checkpoints (0 = flush only on interruption)")
 		resume    = fs.Bool("resume", false, "continue an interrupted run from the state in -checkpoint-dir")
-		cryptoWrk = fs.Int("crypto-workers", 1, "intra-run crypto worker pool size (0 = all CPUs, 1 = sequential); results are identical at any value")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -140,12 +138,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		MessageInterval: *interval,
 		OnlyOutsiders:   *outsiders,
 		RealCrypto:      *realCrypt,
-		CryptoWorkers:   *cryptoWrk,
 		Registry:        reg,
 		Context:         ctx,
-	}
-	if *cryptoWrk == 0 {
-		cfg.CryptoWorkers = runtime.NumCPU()
 	}
 	if *deviants > 0 {
 		cfg.Deviation = give2get.Deviation(*deviation)

@@ -24,7 +24,6 @@ func runExperiment(id string, opts ExperimentOptions) (string, error) {
 		CheckpointEvery: sim.Time(opts.CheckpointEvery),
 		Resume:          opts.Resume,
 		Retries:         opts.Retries,
-		CryptoWorkers:   opts.CryptoWorkers,
 	})
 	if err != nil {
 		return "", err

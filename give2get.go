@@ -108,12 +108,6 @@ type SimulationConfig struct {
 	// Ed25519/X25519/AES-GCM.
 	RealCrypto bool
 
-	// CryptoWorkers bounds the worker pool for the batched crypto
-	// obligations (PoR storage proofs) collected at one simulation instant;
-	// 0 or 1 keeps the sequential path. Results — including audit digests —
-	// are byte-identical at every worker count.
-	CryptoWorkers int
-
 	// EventLog, when non-nil, receives one JSON line per protocol event
 	// (generate, replicate, deliver, test, detect) during the run.
 	//
@@ -273,7 +267,6 @@ func engineConfig(cfg SimulationConfig, seed int64) (engine.Config, error) {
 		Deviation:     deviation,
 		OnlyOutsiders: cfg.OnlyOutsiders,
 		Telemetry:     cfg.Registry,
-		CryptoWorkers: cfg.CryptoWorkers,
 	}
 	if cfg.RealCrypto {
 		ecfg.Crypto = engine.CryptoReal
@@ -510,10 +503,6 @@ type ExperimentOptions struct {
 	// Retries re-attempts failed simulations this many times with
 	// exponential backoff before the experiment fails.
 	Retries int
-	// CryptoWorkers bounds each simulation's intra-run crypto worker pool;
-	// 0 or 1 keeps the sequential path. Rendered output is byte-identical
-	// at every value.
-	CryptoWorkers int
 }
 
 // RunExperiment regenerates one of the paper's tables or figures and returns

@@ -64,14 +64,6 @@ type Config struct {
 	Seed int64
 	// Crypto selects the provider; empty means CryptoFast.
 	Crypto CryptoProvider
-	// CryptoWorkers bounds the worker pool that computes the batched
-	// PoR/PoM/HeavyHMAC obligations of one simulation instant; 0 or 1 keeps
-	// the sequential path. Obligations are rejoined in submission order
-	// before any protocol decision consumes them, so the audit digest is
-	// byte-identical at any worker count — CryptoWorkers is deliberately
-	// excluded from the checkpoint fingerprint, and a run may resume under a
-	// different count.
-	CryptoWorkers int
 
 	// WindowFrom/WindowTo delimit the experiment window.
 	WindowFrom, WindowTo sim.Time
@@ -410,7 +402,6 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	env.SetMetrics(m)
 	env.SetSpans(spans)
-	env.SetCryptoWorkers(cfg.CryptoWorkers)
 
 	e := &engine{
 		cfg:         cfg,

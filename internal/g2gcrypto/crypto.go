@@ -95,7 +95,7 @@ type SessionKey [32]byte
 // hand-rolled heavy-HMAC loop. A zero value is ready to use; the first call
 // allocates the two SHA-256 states, later calls reuse them, so steady-state
 // storage proofs perform no setup allocations. A scratch belongs to one
-// goroutine (batch workers each carry their own, see batch.go).
+// goroutine (a run's ProofMemo holds one, see memo.go).
 type HMACScratch struct {
 	inner, outer hash.Hash
 	ipad, opad   [sha256.BlockSize]byte

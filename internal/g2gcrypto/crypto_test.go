@@ -3,6 +3,7 @@ package g2gcrypto
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -210,6 +211,34 @@ func TestHeavyHMAC(t *testing.T) {
 	// iterations < 1 is clamped, not a panic.
 	if HeavyHMAC(msg, seed, 0) != HeavyHMAC(msg, seed, 1) {
 		t.Error("iteration clamp broken")
+	}
+}
+
+// TestHMACScratchMatchesReference is the metamorphic pin for the reusable
+// scratch: a single scratch reused across calls of random shapes must stay
+// bit-identical to both the package-level HeavyHMAC and the hmac.New
+// reference. Reuse is the point — state leaking between calls is exactly the
+// bug class a reused scratch can introduce.
+func TestHMACScratchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var scratch HMACScratch
+	for i := 0; i < 200; i++ {
+		// Lengths hover around the SHA-256 block (64) and output (32)
+		// boundaries, where padding and key-hashing behavior changes.
+		msg := make([]byte, rng.Intn(160))
+		seed := make([]byte, rng.Intn(96))
+		rng.Read(msg)
+		rng.Read(seed)
+		iterations := 1 + rng.Intn(8)
+
+		got := scratch.HeavyHMAC(msg, seed, iterations)
+		if want := referenceHeavyHMAC(msg, seed, iterations); got != want {
+			t.Fatalf("case %d (len(msg)=%d len(seed)=%d iters=%d): scratch diverged from hmac.New:\n got %x\nwant %x",
+				i, len(msg), len(seed), iterations, got, want)
+		}
+		if want := HeavyHMAC(msg, seed, iterations); got != want {
+			t.Fatalf("case %d: scratch diverged from the package function", i)
+		}
 	}
 }
 

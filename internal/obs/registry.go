@@ -465,16 +465,6 @@ type CryptoStats struct {
 	// computed or verified.
 	HeavyHMACIterations Counter
 
-	// Batch-pool accounting (g2gcrypto.Pool): flushes, distinct jobs, and
-	// the per-worker busy time of parallel storage-proof execution. Worker
-	// turns count one activation per worker per flush, so BusyNS/Turns is
-	// the mean time a worker spent draining its share of a batch.
-	poolFlushes     Counter
-	poolJobs        Counter
-	poolWorkerTurns Counter
-	poolBusyNS      Counter
-	poolMaxWorkers  MaxGauge
-
 	provider atomic.Pointer[string]
 
 	// noTiming suppresses the per-operation clock reads: counts still
@@ -560,36 +550,13 @@ func (c *CryptoStats) NoteHeavyHMAC(d time.Duration, iterations int) {
 	c.HeavyHMACIterations.Add(int64(iterations))
 }
 
-// NotePoolFlush records one batch-pool flush that ran jobs distinct
-// computations on workers goroutines.
-func (c *CryptoStats) NotePoolFlush(workers int, jobs int64) {
-	if c == nil {
-		return
-	}
-	c.poolFlushes.Inc()
-	c.poolJobs.Add(jobs)
-	c.poolMaxWorkers.Observe(int64(workers))
-}
-
-// NotePoolWorker records one worker's share of a flush: the wall time it was
-// busy draining jobs. Accumulation is atomic, so workers may report
-// concurrently as each finishes.
-func (c *CryptoStats) NotePoolWorker(busy time.Duration) {
-	if c == nil {
-		return
-	}
-	c.poolWorkerTurns.Inc()
-	c.poolBusyNS.Add(int64(busy))
-}
-
-// PoolSnapshot is the frozen batch-pool accounting, present when any flush
-// ran.
+// PoolSnapshot is the accounting of a batched storage-proof executor. No
+// executor exists any more, so it is never set; it stays declared because
+// the benchmark's per-layer report (perfbench/layers.go) still reads
+// CryptoSnapshot.Pool and reports its ratio as not measured.
 type PoolSnapshot struct {
-	Flushes     int64 `json:"flushes"`
-	Jobs        int64 `json:"jobs"`
-	WorkerTurns int64 `json:"worker_turns"`
-	BusyNS      int64 `json:"busy_ns"`
-	MaxWorkers  int64 `json:"max_workers"`
+	Flushes int64 `json:"flushes"`
+	Jobs    int64 `json:"jobs"`
 }
 
 // CryptoSnapshot is the frozen form of CryptoStats.
@@ -601,13 +568,13 @@ type CryptoSnapshot struct {
 	Open                OpSnapshot `json:"open"`
 	HeavyHMAC           OpSnapshot `json:"heavy_hmac"`
 	HeavyHMACIterations int64      `json:"heavy_hmac_iterations"`
-	// Pool summarizes parallel storage-proof execution; nil when the run
-	// never flushed a batch.
+	// Pool is always nil: no run batches its storage proofs. Kept only
+	// because perfbench/layers.go compiles against it (see PoolSnapshot).
 	Pool *PoolSnapshot `json:"pool,omitempty"`
 }
 
 func (c *CryptoStats) snapshot() CryptoSnapshot {
-	s := CryptoSnapshot{
+	return CryptoSnapshot{
 		Provider:            c.Provider(),
 		Sign:                c.Sign.Snapshot(),
 		Verify:              c.Verify.Snapshot(),
@@ -616,16 +583,6 @@ func (c *CryptoStats) snapshot() CryptoSnapshot {
 		HeavyHMAC:           c.HeavyHMAC.Snapshot(),
 		HeavyHMACIterations: c.HeavyHMACIterations.Load(),
 	}
-	if n := c.poolFlushes.Load(); n > 0 {
-		s.Pool = &PoolSnapshot{
-			Flushes:     n,
-			Jobs:        c.poolJobs.Load(),
-			WorkerTurns: c.poolWorkerTurns.Load(),
-			BusyNS:      c.poolBusyNS.Load(),
-			MaxWorkers:  c.poolMaxWorkers.Load(),
-		}
-	}
-	return s
 }
 
 // --- snapshot root ---

@@ -159,7 +159,7 @@ func TestEvaluateTestResponseRejectsDuplicatePORs(t *testing.T) {
 		First:  n1.custody[h].pors[0],
 		Second: n1.custody[h].pors[0],
 	})
-	if n0.evaluateTestResponse(c, n1.ID(), seed, &duplicated, nil) {
+	if n0.evaluateTestResponse(c, n1.ID(), seed, &duplicated) {
 		t.Error("duplicate PoRs passed the test")
 	}
 }

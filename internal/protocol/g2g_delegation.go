@@ -420,26 +420,9 @@ func (n *g2gDelegationNode) auditAttachments(now sim.Time, h g2gcrypto.Digest, g
 
 // --- test by the sender (Section VI-B) ---
 
-// delBatchedTest is one collected challenge of a batched test phase; see the
-// pass structure documented on storedPrep (testphase.go).
-type delBatchedTest struct {
-	h      g2gcrypto.Digest
-	c      *g2gDelCustody
-	pt     *delPendingTest
-	seed   [16]byte
-	resp   *wire.Signed
-	prep   *storedPrep
-	src    g2gcrypto.Ticket
-	hasSrc bool
-}
-
 func (n *g2gDelegationNode) testPhase(now sim.Time, other *g2gDelegationNode) {
 	n.env.spans.Enter(obs.SpanTest)
 	defer n.env.spans.Exit()
-
-	// Pass A — collect, in the sequential path's exact order. All RNG draws
-	// happen here.
-	var batch []delBatchedTest
 	n.digestScratch = append(n.digestScratch[:0], n.testsOrder...)
 	for _, h := range n.digestScratch {
 		pending := n.tests[h]
@@ -459,63 +442,26 @@ func (n *g2gDelegationNode) testPhase(now sim.Time, other *g2gDelegationNode) {
 			var seed [16]byte
 			n.env.RNG.Bytes(seed[:])
 			challenge := n.signed(now, wire.PORChallenge{Hash: h, Seed: seed})
-			// The PoR span covers the relay preparing its proof here and the
-			// source's verdict in pass C; the heavy-HMAC work in between is
-			// attributed to the crypto span by the pool.
+			// The PoR span covers both sides of the proof: the challenged
+			// relay producing it and the source verifying it.
 			n.env.spans.Enter(obs.SpanPoR)
-			resp, prep := other.preparePORChallenge(now, challenge)
-			bt := delBatchedTest{h: h, c: c, pt: pt, seed: seed, resp: resp, prep: prep}
-			if prep != nil && c.raw != nil {
-				// The source recomputes the same proof over its own copy; the
-				// pool coalesces it with the relay's obligation.
-				bt.src = n.submitHeavyHMAC(c.raw, seed[:], n.env.Params.HeavyHMACIterations)
-				bt.hasSrc = true
-			}
+			resp := other.handlePORChallenge(now, challenge)
+			passed, reason, evidence := n.evaluateTestResponse(c, pt, seed, resp)
 			n.env.spans.Exit()
-			batch = append(batch, bt)
-		}
-	}
-	if len(batch) == 0 {
-		return
-	}
-
-	// Pass B — barrier: all storage proofs compute before any verdict (and
-	// before the relay phase consults blacklists).
-	n.env.pool.Flush()
-
-	// Pass C — decide in collection order.
-	for i := range batch {
-		bt := &batch[i]
-		n.env.spans.Enter(obs.SpanPoR)
-		resp := bt.resp
-		if bt.prep != nil {
-			r := other.finishStoredResponse(now, bt.prep)
-			resp = &r
-		}
-		var pre *bool
-		if bt.hasSrc && resp != nil {
-			if body, ok := resp.Body.(wire.StoredResponse); ok {
-				v := n.env.pool.Digest(bt.src) == body.MAC
-				pre = &v
+			n.noteTested(passed)
+			n.env.Observer.Tested(other.ID(), passed, now)
+			if !passed {
+				n.reportMisbehavior(now, other.ID(), reason, evidence, h,
+					c.genAt.Add(n.env.Params.Delta1))
 			}
-		}
-		passed, reason, evidence := n.evaluateTestResponse(bt.c, bt.pt, bt.seed, resp, pre)
-		n.env.spans.Exit()
-		n.noteTested(passed)
-		n.env.Observer.Tested(other.ID(), passed, now)
-		if !passed {
-			n.reportMisbehavior(now, other.ID(), reason, evidence, bt.h,
-				bt.c.genAt.Add(n.env.Params.Delta1))
 		}
 	}
 }
 
 // evaluateTestResponse checks a test answer. On failure it returns the
-// reason and the evidence documents for the PoM broadcast. pre, when non-nil,
-// is the storage-proof verdict the batch pool already computed (nil falls
-// back to inline verification; see the epidemic counterpart).
+// reason and the evidence documents for the PoM broadcast.
 func (n *g2gDelegationNode) evaluateTestResponse(c *g2gDelCustody, pt *delPendingTest,
-	seed [16]byte, resp *wire.Signed, pre *bool) (bool, wire.MisbehaviorReason, []wire.Signed) {
+	seed [16]byte, resp *wire.Signed) (bool, wire.MisbehaviorReason, []wire.Signed) {
 
 	dropEvidence := []wire.Signed{pt.por}
 	if resp == nil || resp.Signer != pt.relay || !n.verified(*resp) {
@@ -552,12 +498,6 @@ func (n *g2gDelegationNode) evaluateTestResponse(c *g2gDelCustody, pt *delPendin
 		if body.Hash != c.hash || body.Seed != seed || c.raw == nil {
 			return false, wire.ReasonDropped, dropEvidence
 		}
-		if pre != nil {
-			if !*pre {
-				return false, wire.ReasonDropped, dropEvidence
-			}
-			return true, 0, nil
-		}
 		if !n.verifyHeavyHMAC(c.raw, seed[:], n.env.Params.HeavyHMACIterations, body.MAC) {
 			return false, wire.ReasonDropped, dropEvidence
 		}
@@ -567,41 +507,25 @@ func (n *g2gDelegationNode) evaluateTestResponse(c *g2gDelCustody, pt *delPendin
 	}
 }
 
-// preparePORChallenge is the challenged node's side of pass A: answer with
-// two PoRs immediately, or submit the storage proof to the batch pool and
-// return the prep to finish after the flush.
-func (n *g2gDelegationNode) preparePORChallenge(now sim.Time, challenge wire.Signed) (*wire.Signed, *storedPrep) {
+func (n *g2gDelegationNode) handlePORChallenge(now sim.Time, challenge wire.Signed) *wire.Signed {
 	body, ok := challenge.Body.(wire.PORChallenge)
 	if !ok || !n.verified(challenge) {
-		return nil, nil
+		return nil
 	}
 	c, ok := n.custody[body.Hash]
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	if len(c.pors) >= 2 {
 		resp := n.signed(now, wire.PORResponse{First: c.pors[0], Second: c.pors[1]})
-		return &resp, nil
+		return &resp
 	}
 	if c.raw != nil {
-		return nil, &storedPrep{
-			hash: body.Hash, seed: body.Seed,
-			ticket: n.submitHeavyHMAC(c.raw, body.Seed[:], n.env.Params.HeavyHMACIterations),
-		}
+		mac := n.heavyHMAC(c.raw, body.Seed[:], n.env.Params.HeavyHMACIterations)
+		resp := n.signed(now, wire.StoredResponse{Hash: body.Hash, Seed: body.Seed, MAC: mac})
+		return &resp
 	}
-	return nil, nil
-}
-
-// handlePORChallenge is the unbatched form of preparePORChallenge; it must
-// only be called outside a batched test phase (no obligations pending).
-func (n *g2gDelegationNode) handlePORChallenge(now sim.Time, challenge wire.Signed) *wire.Signed {
-	resp, prep := n.preparePORChallenge(now, challenge)
-	if prep == nil {
-		return resp
-	}
-	n.env.pool.Flush()
-	r := n.finishStoredResponse(now, prep)
-	return &r
+	return nil
 }
 
 func (n *g2gDelegationNode) expire(now sim.Time) {

@@ -122,26 +122,9 @@ func (n *g2gEpidemicNode) RunSession(now sim.Time, peer Node) (bool, error) {
 
 // --- test phase (Fig. 2) ---
 
-// epiBatchedTest is one collected challenge of a batched test phase; see the
-// pass structure documented on storedPrep (testphase.go).
-type epiBatchedTest struct {
-	h      g2gcrypto.Digest
-	c      *g2gCustody
-	pt     *pendingTest
-	seed   [16]byte
-	resp   *wire.Signed
-	prep   *storedPrep
-	src    g2gcrypto.Ticket
-	hasSrc bool
-}
-
 func (n *g2gEpidemicNode) testPhase(now sim.Time, other *g2gEpidemicNode) {
 	n.env.spans.Enter(obs.SpanTest)
 	defer n.env.spans.Exit()
-
-	// Pass A — collect, in the sequential path's exact order (sorted message
-	// digests, then pending-test order). All RNG draws happen here.
-	var batch []epiBatchedTest
 	n.digestScratch = append(n.digestScratch[:0], n.testsOrder...)
 	for _, h := range n.digestScratch {
 		pending := n.tests[h]
@@ -162,68 +145,27 @@ func (n *g2gEpidemicNode) testPhase(now sim.Time, other *g2gEpidemicNode) {
 			var seed [16]byte
 			n.env.RNG.Bytes(seed[:])
 			challenge := n.signed(now, wire.PORChallenge{Hash: h, Seed: seed})
-			// The PoR span covers the relay preparing its proof here and the
-			// source's verdict in pass C; the heavy-HMAC work in between is
-			// attributed to the crypto span by the pool.
+			// The PoR span covers both sides of the proof: the challenged
+			// relay producing it and the source verifying it.
 			n.env.spans.Enter(obs.SpanPoR)
-			resp, prep := other.preparePORChallenge(now, challenge)
-			bt := epiBatchedTest{h: h, c: c, pt: pt, seed: seed, resp: resp, prep: prep}
-			if prep != nil && c.raw != nil {
-				// The source recomputes the same proof over its own copy; the
-				// pool coalesces it with the relay's obligation (the copies
-				// are byte-identical), so an honest pair costs one keystream
-				// walk.
-				bt.src = n.submitHeavyHMAC(c.raw, seed[:], n.env.Params.HeavyHMACIterations)
-				bt.hasSrc = true
-			}
+			resp := other.handlePORChallenge(now, challenge)
+			passed := n.evaluateTestResponse(c, other.ID(), seed, resp)
 			n.env.spans.Exit()
-			batch = append(batch, bt)
-		}
-	}
-	if len(batch) == 0 {
-		return
-	}
-
-	// Pass B — barrier: every storage proof of this session computes before
-	// any verdict is read (and before the relay phase consults blacklists).
-	n.env.pool.Flush()
-
-	// Pass C — decide in collection order, reproducing the sequential
-	// observer and broadcast order.
-	for i := range batch {
-		bt := &batch[i]
-		n.env.spans.Enter(obs.SpanPoR)
-		resp := bt.resp
-		if bt.prep != nil {
-			r := other.finishStoredResponse(now, bt.prep)
-			resp = &r
-		}
-		var pre *bool
-		if bt.hasSrc && resp != nil {
-			if body, ok := resp.Body.(wire.StoredResponse); ok {
-				v := n.env.pool.Digest(bt.src) == body.MAC
-				pre = &v
+			n.noteTested(passed)
+			n.env.Observer.Tested(other.ID(), passed, now)
+			if !passed {
+				n.reportMisbehavior(now, other.ID(), wire.ReasonDropped,
+					[]wire.Signed{pt.por}, h, c.genAt.Add(n.env.Params.Delta1))
 			}
-		}
-		passed := n.evaluateTestResponse(bt.c, other.ID(), bt.seed, resp, pre)
-		n.env.spans.Exit()
-		n.noteTested(passed)
-		n.env.Observer.Tested(other.ID(), passed, now)
-		if !passed {
-			n.reportMisbehavior(now, other.ID(), wire.ReasonDropped,
-				[]wire.Signed{bt.pt.por}, bt.h, bt.c.genAt.Add(n.env.Params.Delta1))
 		}
 	}
 }
 
 // evaluateTestResponse checks a challenge answer: either two verifiable
 // proofs of relay for this message, or the heavy HMAC over the full message
-// under the challenge seed. pre, when non-nil, is the storage-proof verdict
-// the batch pool already computed for this test (digest equality over the
-// same bytes the sequential path would hash); nil falls back to the inline
-// verification, which is what direct callers outside a batched phase use.
+// under the challenge seed.
 func (n *g2gEpidemicNode) evaluateTestResponse(c *g2gCustody, relay trace.NodeID,
-	seed [16]byte, resp *wire.Signed, pre *bool) bool {
+	seed [16]byte, resp *wire.Signed) bool {
 
 	if resp == nil || resp.Signer != relay || !n.verified(*resp) {
 		return false
@@ -234,9 +176,6 @@ func (n *g2gEpidemicNode) evaluateTestResponse(c *g2gCustody, relay trace.NodeID
 	case wire.StoredResponse:
 		if body.Hash != c.hash || body.Seed != seed || c.raw == nil {
 			return false
-		}
-		if pre != nil {
-			return *pre
 		}
 		return n.verifyHeavyHMAC(c.raw, seed[:], n.env.Params.HeavyHMACIterations, body.MAC)
 	default:
@@ -270,44 +209,28 @@ func (n *g2gEpidemicNode) validPORPair(c *g2gCustody, relay trace.NodeID, resp w
 	return true
 }
 
-// preparePORChallenge is the challenged node's side of pass A: answer with
-// two PoRs immediately, or submit the storage proof to the batch pool and
-// return the prep to finish after the flush. A (nil, nil) return means the
-// node cannot comply (dropped the message and holds no proofs).
-func (n *g2gEpidemicNode) preparePORChallenge(now sim.Time, challenge wire.Signed) (*wire.Signed, *storedPrep) {
+// handlePORChallenge is the challenged node's side: produce two PoRs, or the
+// storage proof, or fail.
+func (n *g2gEpidemicNode) handlePORChallenge(now sim.Time, challenge wire.Signed) *wire.Signed {
 	body, ok := challenge.Body.(wire.PORChallenge)
 	if !ok || !n.verified(challenge) {
-		return nil, nil
+		return nil
 	}
 	c, ok := n.custody[body.Hash]
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	if len(c.pors) >= 2 {
 		resp := n.signed(now, wire.PORResponse{First: c.pors[0], Second: c.pors[1]})
-		return &resp, nil
+		return &resp
 	}
 	if c.raw != nil {
-		return nil, &storedPrep{
-			hash: body.Hash, seed: body.Seed,
-			ticket: n.submitHeavyHMAC(c.raw, body.Seed[:], n.env.Params.HeavyHMACIterations),
-		}
+		mac := n.heavyHMAC(c.raw, body.Seed[:], n.env.Params.HeavyHMACIterations)
+		resp := n.signed(now, wire.StoredResponse{Hash: body.Hash, Seed: body.Seed, MAC: mac})
+		return &resp
 	}
 	// Dropped the message and has no proofs: cannot comply.
-	return nil, nil
-}
-
-// handlePORChallenge is the unbatched form of preparePORChallenge: produce
-// two PoRs, or the storage proof (flushing the pool inline), or fail. It must
-// only be called outside a batched test phase (no obligations pending).
-func (n *g2gEpidemicNode) handlePORChallenge(now sim.Time, challenge wire.Signed) *wire.Signed {
-	resp, prep := n.preparePORChallenge(now, challenge)
-	if prep == nil {
-		return resp
-	}
-	n.env.pool.Flush()
-	r := n.finishStoredResponse(now, prep)
-	return &r
+	return nil
 }
 
 // --- relay phase (Fig. 1) ---

@@ -13,6 +13,7 @@
 package protocol
 
 import (
+	"crypto/hmac"
 	"errors"
 	"fmt"
 	"sort"
@@ -288,12 +289,11 @@ type Env struct {
 	// node's sign/verify traffic.
 	wireScratch wire.Scratch
 
-	// pool batches the run's heavy-HMAC obligations (storage-proof compute
-	// and verify) so test phases can fan them out to worker goroutines and
-	// rejoin before any decision consumes a digest. Always non-nil: NewEnv
-	// creates a sequential (one-worker) pool, SetCryptoWorkers raises the
-	// parallelism.
-	pool *g2gcrypto.Pool
+	// proofs coalesces the run's storage proofs: the source's recomputation
+	// of a relay's proof immediately follows it over the same bytes, so the
+	// memo computes the pair once. Transient (never checkpointed): a resumed
+	// run starts with a miss.
+	proofs g2gcrypto.ProofMemo
 
 	// pomCache memoizes validatePoM verdicts by signature bytes. A proof of
 	// misbehavior is broadcast to the whole population, and its validity is
@@ -319,11 +319,9 @@ const pomCacheLimit = 1024
 func (e *Env) SetMetrics(m *obs.Metrics) {
 	if m == nil {
 		e.stats, e.crypto = nil, nil
-		e.pool.SetTelemetry(nil, nil)
 		return
 	}
 	e.stats, e.crypto = &m.Protocol, &m.Crypto
-	e.pool.SetTelemetry(&m.Crypto, &m.Spans)
 	m.Protocol.SetKindNamer(func(k uint8) string { return wire.Kind(k).String() })
 }
 
@@ -331,21 +329,6 @@ func (e *Env) SetMetrics(m *obs.Metrics) {
 // profiling of the protocol steps (relay/test/decide, PoR/PoM, heavy HMAC).
 // A nil recorder detaches.
 func (e *Env) SetSpans(r *obs.SpanRecorder) { e.spans = r }
-
-// SetCryptoWorkers sets the parallelism of the heavy-HMAC batch pool. Values
-// below 2 keep execution sequential; any value produces byte-identical runs
-// (the determinism contract of g2gcrypto.Pool). It must be called between
-// batches (the engine sets it once at construction).
-func (e *Env) SetCryptoWorkers(n int) { e.pool.SetWorkers(n) }
-
-// CryptoWorkers returns the batch pool's configured parallelism.
-func (e *Env) CryptoWorkers() int { return e.pool.Workers() }
-
-// PendingCryptoObligations returns the number of unflushed batch
-// obligations. Protocol phases flush before returning, so it is zero at
-// every inter-event boundary — the invariant the engine asserts before
-// capturing a checkpoint.
-func (e *Env) PendingCryptoObligations() int { return e.pool.Pending() }
 
 // validatePoM verifies a broadcast proof of misbehavior — envelope signature,
 // body type, evidence signed by the accused — memoizing the verdict per
@@ -384,10 +367,7 @@ func NewEnv(sys g2gcrypto.System, params Params, observer Observer, rng *sim.RNG
 	if rng == nil {
 		rng = sim.NewRNG(1)
 	}
-	return &Env{
-		Sys: sys, Params: params, Observer: observer, RNG: rng,
-		pool: g2gcrypto.NewPool(1, nil, nil),
-	}, nil
+	return &Env{Sys: sys, Params: params, Observer: observer, RNG: rng}, nil
 }
 
 // Node is the engine-facing surface of a protocol instance.
@@ -463,35 +443,19 @@ func (b *base) signed(at sim.Time, body wire.Body) wire.Signed {
 }
 
 // heavyHMAC computes the storage proof, accounting both the per-node usage
-// and the run telemetry (count, wall time, iterations). The keystream work is
-// the dominant crypto cost, so it gets its own span; cheap envelope
-// sign/verify deliberately does not (it is counted in CryptoStats instead).
+// and the run telemetry (count, wall time, iterations, crypto span). The
+// Env's proof memo serves the source's recomputation of a relay's proof
+// without a second keystream walk; the accounting is the same either way.
 func (b *base) heavyHMAC(msg, seed []byte, iterations int) g2gcrypto.Digest {
 	b.noteHMAC(iterations)
-	b.env.spans.Enter(obs.SpanCrypto)
-	mac := g2gcrypto.TimedHeavyHMAC(b.env.crypto, msg, seed, iterations)
-	b.env.spans.Exit()
-	return mac
+	return b.env.proofs.HeavyHMAC(b.env.crypto, b.env.spans, msg, seed, iterations)
 }
 
-// verifyHeavyHMAC verifies a storage proof with the same accounting.
+// verifyHeavyHMAC verifies a storage proof with the same accounting,
+// comparing in constant time.
 func (b *base) verifyHeavyHMAC(msg, seed []byte, iterations int, response g2gcrypto.Digest) bool {
-	b.noteHMAC(iterations)
-	b.env.spans.Enter(obs.SpanCrypto)
-	ok := g2gcrypto.TimedVerifyHeavyHMAC(b.env.crypto, msg, seed, iterations, response)
-	b.env.spans.Exit()
-	return ok
-}
-
-// submitHeavyHMAC registers a storage-proof computation with the run's batch
-// pool, charging this node's usage immediately (iterations are owed whether
-// the batch coalesces the work or not — the sequential path charges the same
-// way). The digest is read back after the pool flushes. Wall-time telemetry
-// is recorded by the pool post-join, so batched and sequential runs reconcile
-// identically against the invariant auditor.
-func (b *base) submitHeavyHMAC(msg, seed []byte, iterations int) g2gcrypto.Ticket {
-	b.noteHMAC(iterations)
-	return b.env.pool.SubmitCompute(msg, seed, iterations)
+	want := b.heavyHMAC(msg, seed, iterations)
+	return hmac.Equal(want[:], response[:])
 }
 
 // noteTestStarted, noteTested, and noteQualityUpdate forward to the run
