@@ -43,6 +43,9 @@ func TestGolden(t *testing.T) {
 		// audited-experiment regression (violations would fail the run).
 		{name: "secV-tiny-audit", args: []string{"-experiment", "secV", "-tiny", "-audit"}},
 		{name: "memory-tiny-csv", args: []string{"-experiment", "memory", "-tiny", "-format", "csv"}},
+		// Table I audited: G2G Delegation against droppers, liars and
+		// cheaters, with and without outsiders.
+		{name: "table1-tiny-audit", args: []string{"-experiment", "table1", "-tiny", "-audit"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -67,6 +67,13 @@ func TestGolden(t *testing.T) {
 			args: []string{"-preset", "cambridge06", "-protocol", "delegation-frequency",
 				"-ttl", "10m", "-interval", "2m", "-repeats", "2", "-jobs", "2", "-audit"},
 		},
+		{
+			// G2G Delegation with cheaters: the FQ exchange, the sender's
+			// chain audit and the destination's attachment audit.
+			name: "preset-g2g-delegation-cheaters-audit",
+			args: []string{"-preset", "infocom05", "-protocol", "g2g-delegation-frequency",
+				"-deviants", "5", "-deviation", "cheater", "-audit", "-seed", "7"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
