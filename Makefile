@@ -112,23 +112,32 @@ trace-roundtrip:
 # killed (SIGTERM) mid-flight with checkpointing on, resumed from the
 # flushed checkpoint, and its audit digest must be byte-identical to an
 # uninterrupted reference run of the same configuration (the determinism
-# contract; see DESIGN.md "Checkpoint & recovery").
+# contract; see DESIGN.md "Checkpoint & recovery"). It runs once per G2G
+# protocol: honest G2G Epidemic, and G2G Delegation against cheaters.
+KILL_RESUME_CONFIGS = \
+	"-preset infocom05 -audit -seed 7" \
+	"-preset infocom05 -protocol g2g-delegation-frequency -deviants 5 -deviation cheater -interval 1s -audit -seed 7"
+
 kill-resume:
-	@dir=$$(mktemp -d); status=1; \
-	$(GO) build -o $$dir/g2gsim ./cmd/g2gsim && \
-	$$dir/g2gsim -preset infocom05 -audit -seed 7 >$$dir/ref.out 2>&1 && \
-	{ $$dir/g2gsim -preset infocom05 -audit -seed 7 -checkpoint-dir $$dir/ckpt >$$dir/int.out 2>&1 & \
-	  pid=$$!; sleep 3; kill -TERM $$pid 2>/dev/null; wait $$pid; \
-	  test -f $$dir/ckpt/run.ckpt || { echo "kill-resume: no checkpoint flushed (run finished before the kill?)"; cat $$dir/int.out; rm -rf $$dir; exit 1; }; \
-	  $$dir/g2gsim -preset infocom05 -audit -seed 7 -checkpoint-dir $$dir/ckpt -resume >$$dir/res.out 2>&1 && \
-	  grep digest= $$dir/ref.out >$$dir/ref.digest && \
-	  grep digest= $$dir/res.out >$$dir/res.digest && \
-	  cmp $$dir/ref.digest $$dir/res.digest; }; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then echo "kill-resume: FAILED"; cat $$dir/ref.out $$dir/int.out $$dir/res.out 2>/dev/null; fi; \
+	@dir=$$(mktemp -d); status=0; \
+	$(GO) build -o $$dir/g2gsim ./cmd/g2gsim || status=1; \
+	for args in $(KILL_RESUME_CONFIGS); do \
+	  [ $$status -eq 0 ] || break; \
+	  rm -rf $$dir/ckpt; \
+	  $$dir/g2gsim $$args >$$dir/ref.out 2>&1 && \
+	  { $$dir/g2gsim $$args -checkpoint-dir $$dir/ckpt >$$dir/int.out 2>&1 & \
+	    pid=$$!; sleep 3; kill -TERM $$pid 2>/dev/null; wait $$pid; \
+	    test -f $$dir/ckpt/run.ckpt || { echo "kill-resume: no checkpoint flushed (run finished before the kill?)"; false; } && \
+	    $$dir/g2gsim $$args -checkpoint-dir $$dir/ckpt -resume >$$dir/res.out 2>&1 && \
+	    grep digest= $$dir/ref.out >$$dir/ref.digest && \
+	    grep digest= $$dir/res.out >$$dir/res.digest && \
+	    cmp $$dir/ref.digest $$dir/res.digest; }; \
+	  status=$$?; \
+	  if [ $$status -ne 0 ]; then echo "kill-resume: FAILED: g2gsim $$args"; cat $$dir/ref.out $$dir/int.out $$dir/res.out 2>/dev/null; \
+	  else echo "kill-resume: audit digest identical across kill/resume: g2gsim $$args ($$(cat $$dir/res.digest))"; fi; \
+	done; \
 	rm -rf $$dir; \
-	if [ $$status -ne 0 ]; then exit $$status; fi; \
-	echo "kill-resume: audit digest identical across kill/resume"
+	exit $$status
 
 check: build vet test race
 

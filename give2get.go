@@ -108,19 +108,12 @@ type SimulationConfig struct {
 	// Ed25519/X25519/AES-GCM.
 	RealCrypto bool
 
-	// EventLog, when non-nil, receives one JSON line per protocol event
-	// (generate, replicate, deliver, test, detect) during the run.
-	//
-	// Deprecated: EventLog is kept for compatibility and still produces the
-	// original output byte for byte; new code should use Sink (see
-	// NewLegacyEventSink for the same format) or TraceJSON.
-	EventLog io.Writer
-
 	// TraceJSON, when non-nil, receives one leveled JSON trace record per
 	// protocol event, including debug-level records and wall timestamps.
 	TraceJSON io.Writer
 	// Sink, when non-nil, receives the run's trace records directly; it
-	// composes with EventLog and TraceJSON. Implementations must be safe for
+	// composes with TraceJSON; NewLegacyEventSink renders the pre-telemetry
+	// one-JSON-line-per-event format. Implementations must be safe for
 	// concurrent use (RunSweep shares the sink across runs).
 	Sink TraceSink
 	// Progress, when non-nil, receives a one-line progress report every
@@ -272,9 +265,6 @@ func engineConfig(cfg SimulationConfig, seed int64) (engine.Config, error) {
 		ecfg.Crypto = engine.CryptoReal
 	}
 	ecfg.TraceSink = cfg.Sink
-	if cfg.EventLog != nil {
-		ecfg.TraceSink = obs.Multi(ecfg.TraceSink, engine.NewLegacyEventSink(cfg.EventLog))
-	}
 	if cfg.TraceJSON != nil {
 		ecfg.TraceSink = obs.Multi(ecfg.TraceSink, obs.NewJSONSink(cfg.TraceJSON, obs.LevelDebug))
 	}

@@ -58,7 +58,7 @@ var (
 
 const (
 	checkpointMagic   = "G2GC"
-	checkpointVersion = 1
+	checkpointVersion = 2
 	// checkpointHeaderLen is magic + version + SHA-256 checksum.
 	checkpointHeaderLen = 4 + 4 + sha256.Size
 )

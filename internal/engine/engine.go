@@ -81,16 +81,9 @@ type Config struct {
 	GenerationQuiet sim.Time
 	// PayloadBytes sizes the message bodies (default 64).
 	PayloadBytes int
-	// EventLog, when non-nil, receives one JSON line per protocol event
-	// (generate/replicate/deliver/test/detect) for debugging and offline
-	// analysis. Metrics are unaffected.
-	//
-	// Deprecated: EventLog is the pre-telemetry interface, kept for existing
-	// callers; it is adapted onto the trace layer with the original output
-	// format preserved byte for byte. New code should set TraceSink.
-	EventLog io.Writer
 	// TraceSink, when non-nil, receives the run's structured trace records
-	// (leveled, timestamped in sim and wall time). It composes with EventLog.
+	// (leveled, timestamped in sim and wall time). NewLegacyEventSink renders
+	// the pre-telemetry one-JSON-line-per-event format.
 	TraceSink obs.TraceSink
 	// Telemetry, when non-nil, is the registry the run records its counters
 	// and timings into; sharing one registry across runs aggregates a whole
@@ -356,7 +349,7 @@ func newEngine(cfg Config) (*engine, error) {
 
 	// The flight recorder rides the trace-sink chain: a bounded ring of the
 	// most recent records, defaulted on for audited runs so a violation can
-	// dump its immediate past. The legacy EventLog sink filters run-milestone
+	// dump its immediate past. The legacy event sink filters run-milestone
 	// records, so its output stays byte-identical either way.
 	var flight *obs.RingSink
 	flightCap := cfg.FlightRecorder
@@ -367,9 +360,6 @@ func newEngine(cfg Config) (*engine, error) {
 		flight = obs.NewRingSink(flightCap, obs.LevelDebug)
 	}
 	sink := cfg.TraceSink
-	if cfg.EventLog != nil {
-		sink = obs.Multi(sink, NewLegacyEventSink(cfg.EventLog))
-	}
 	if flight != nil {
 		sink = obs.Multi(sink, flight)
 	}
@@ -664,7 +654,7 @@ func (e *engine) scheduleAll(s *sim.Simulator) error {
 
 // emitPhase marks a phase transition: the current-phase gauge the live
 // inspector reads and one "phase" milestone record for the trace and flight
-// sinks. The legacy EventLog sink drops milestone records, keeping its output
+// sinks. The legacy event sink drops milestone records, keeping its output
 // byte-identical to the pre-telemetry format.
 func (e *engine) emitPhase(at sim.Time, p obs.Phase) {
 	e.metrics.Engine.EnterPhase(p)

@@ -24,7 +24,7 @@ import (
 // When an auditor is attached every event is additionally fed to the
 // invariant shadow model, including the PoR/PoM extension hooks — those two
 // never reach the sink, so audited runs keep the trace (and the legacy
-// EventLog) byte-identical to unaudited ones.
+// event format) byte-identical to unaudited ones.
 type runObserver struct {
 	inner protocol.Observer
 	eng   *obs.EngineStats
@@ -151,7 +151,7 @@ func (o *runObserver) MisbehaviorReported(pom wire.Signed, at sim.Time) {
 	}
 }
 
-// eventRecord is the legacy Config.EventLog line shape, kept byte-for-byte
+// eventRecord is the legacy event-log line shape, kept byte-for-byte
 // compatible with the original writer. Pointer fields are omitted when not
 // applicable to the event type.
 type eventRecord struct {
@@ -166,7 +166,7 @@ type eventRecord struct {
 	Passed *bool  `json:"passed,omitempty"`
 }
 
-// legacySink adapts the deprecated Config.EventLog writer onto the trace
+// legacySink renders the pre-telemetry event-log format from the trace
 // layer: it accepts every level (the old logger had no levels) and re-encodes
 // each record in the original JSON-lines format, field order included.
 type legacySink struct {
@@ -176,9 +176,9 @@ type legacySink struct {
 
 var _ obs.TraceSink = (*legacySink)(nil)
 
-// NewLegacyEventSink returns a TraceSink writing the deprecated EventLog
-// JSON-lines format to w, byte for byte. It is how EventLog callers migrate
-// to Config.TraceSink without their downstream log consumers noticing.
+// NewLegacyEventSink returns a TraceSink writing the pre-telemetry event-log
+// JSON-lines format to w, byte for byte, for downstream consumers of that
+// format (g2gsim -events).
 func NewLegacyEventSink(w io.Writer) obs.TraceSink {
 	return &legacySink{enc: json.NewEncoder(w)}
 }

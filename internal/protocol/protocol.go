@@ -413,6 +413,11 @@ func New(kind Kind, env *Env, self g2gcrypto.Identity, behavior Behavior) (Node,
 	case DelegationFrequency, DelegationLastContact:
 		return newDelegationNode(env, self, behavior, kind.UsesFrequency()), nil
 	case G2GDelegationFrequency, G2GDelegationLastContact:
+		// The FQ exchange with the destination asks about a decoy D′, a
+		// third node that is neither the sender nor the destination.
+		if pop := env.Sys.Nodes(); pop < 3 {
+			return nil, fmt.Errorf("protocol: %v needs at least 3 nodes for its destination decoy, population is %d", kind, pop)
+		}
 		return newG2GDelegationNode(env, self, behavior, kind.UsesFrequency()), nil
 	default:
 		return nil, fmt.Errorf("protocol: unknown kind %v", kind)

@@ -308,8 +308,41 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSessionProtocolMismatch(t *testing.T) {
+// TestG2GDelegationNeedsDecoyPopulation pins the construction-time guard: on
+// a two-node population the only node besides the sender is the destination,
+// so no decoy D′ exists and G2G Delegation must be refused by name, while the
+// other protocols still build.
+func TestG2GDelegationNeedsDecoyPopulation(t *testing.T) {
 	sys, err := g2gcrypto.NewFast(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnv(sys, testParams(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := sys.Identity(0)
+	for _, kind := range []Kind{G2GDelegationFrequency, G2GDelegationLastContact} {
+		_, err := New(kind, env, id, Behavior{})
+		if err == nil {
+			t.Fatalf("%v accepted a two-node population", kind)
+		}
+		for _, want := range []string{kind.String(), "population is 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: error %q does not mention %q", kind, err, want)
+			}
+		}
+	}
+	for _, kind := range []Kind{Epidemic, G2GEpidemic, DelegationFrequency, DelegationLastContact} {
+		if _, err := New(kind, env, id, Behavior{}); err != nil {
+			t.Errorf("%v on two nodes: %v", kind, err)
+		}
+	}
+}
+
+func TestSessionProtocolMismatch(t *testing.T) {
+	// Three identities: G2G Delegation refuses a population without a decoy.
+	sys, err := g2gcrypto.NewFast(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,9 @@ func NewJSONTraceSink(w io.Writer, min TraceLevel) TraceSink {
 	return obs.NewJSONSink(w, min)
 }
 
-// NewLegacyEventSink returns a sink writing the deprecated
-// SimulationConfig.EventLog JSON-lines format to w, byte for byte — the
-// migration path off the EventLog field.
+// NewLegacyEventSink returns a sink writing the pre-telemetry event-log
+// JSON-lines format (one line per generate, replicate, deliver, test and
+// detect event) to w, byte for byte.
 func NewLegacyEventSink(w io.Writer) TraceSink {
 	return engine.NewLegacyEventSink(w)
 }
