@@ -163,3 +163,16 @@ func TestNodeStateKindMismatch(t *testing.T) {
 		t.Error("epidemic node accepted a g2g state")
 	}
 }
+
+// TestG2GStateKindMismatch pins the G2G branches: the two G2G protocols share
+// the core's state, and the Delegation extension tells them apart.
+func TestG2GStateKindMismatch(t *testing.T) {
+	we := newWorld(t, G2GEpidemic, 3, testParams(), nil)
+	wd := newWorld(t, G2GDelegationFrequency, 3, testParams(), nil)
+	if err := we.nodes[0].(Stateful).RestoreState(wd.nodes[0].(Stateful).CaptureState()); err == nil {
+		t.Error("g2g-epidemic node accepted a g2g-delegation state")
+	}
+	if err := wd.nodes[0].(Stateful).RestoreState(we.nodes[0].(Stateful).CaptureState()); err == nil {
+		t.Error("g2g-delegation node accepted a g2g-epidemic state")
+	}
+}
