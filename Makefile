@@ -1,19 +1,8 @@
 GO ?= go
 FUZZTIME ?= 10s
 COVER_FLOOR ?= 70
-# Benchmark-gate harness knobs (see DESIGN.md "Performance").
-BENCH_OUT ?= BENCH_after.json
-BENCH_OLD ?= BENCH_baseline.json
-BENCH_NEW ?= BENCH_after.json
-BENCH_MAX_REGRESS ?= 10
-# Wall-time gate: fail bench-diff when ns/op regresses beyond this percent
-# (wide because single-iteration wall times are noisy; 0 disables).
-BENCH_NS_TOLERANCE ?= 25
-# Benchmarks whose baseline ns/op is below this floor (1ms) are exempt from
-# the wall gate: at -benchtime=1x they are a single timer sample.
-BENCH_NS_FLOOR ?= 1000000
 
-.PHONY: all build test vet race bench bench-smoke bench-diff fuzz cover trace-roundtrip kill-resume fuzz-smoke check ci
+.PHONY: all build test vet race bench-smoke perfbench-build fuzz cover trace-roundtrip kill-resume fuzz-smoke check ci
 
 all: check
 
@@ -32,36 +21,16 @@ vet:
 race:
 	$(GO) test -race -timeout 30m ./internal/obs ./internal/metrics ./internal/engine ./internal/runner ./internal/experiments
 
-# Measurement run: every benchmark once with -benchmem, converted to the
-# machine-readable BENCH_*.json interchange format by cmd/benchjson. The
-# paper-artifact benches are whole audited simulations, so one iteration is
-# already a stable measurement; BENCH_OUT defaults to BENCH_after.json so
-# `make bench && make bench-diff` gates a working tree against the committed
-# BENCH_baseline.json.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -timeout 60m -run='^$$' . ./internal/... >bench_output.txt; \
-	status=$$?; cat bench_output.txt; \
-	if [ $$status -ne 0 ]; then rm -f bench_output.txt; exit $$status; fi
-	$(GO) run ./cmd/benchjson -in bench_output.txt -o $(BENCH_OUT)
-	@rm -f bench_output.txt
-	@echo "bench: wrote $(BENCH_OUT)"
-
-# One iteration per benchmark with telemetry collection on: smoke-checks that
-# every bench still runs AND that the per-phase span pipeline works end to end
-# (the experiment benches record into a shared registry, the snapshot lands in
-# bench_telemetry.json, and benchjson renders its phase table). Wired into ci.
+# One iteration of every benchmark: a smoke check that each still runs.
+# Performance itself is measured by perfbench/ (see BENCHMARK.json).
 bench-smoke:
-	G2G_BENCH_TELEMETRY=$(CURDIR)/bench_telemetry.json $(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) run ./cmd/benchjson -phases bench_telemetry.json
-	@rm -f bench_telemetry.json
+	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Compare two BENCH_*.json reports; exits non-zero when allocs/op on any
-# shared benchmark regresses by more than BENCH_MAX_REGRESS percent, or ns/op
-# by more than BENCH_NS_TOLERANCE percent (benchmarks with a baseline under
-# BENCH_NS_FLOOR ns sit below one reliable timer sample at -benchtime=1x and
-# are exempt from the wall gate, never the allocs gate).
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff -max-regress $(BENCH_MAX_REGRESS) -ns-tolerance $(BENCH_NS_TOLERANCE) -ns-floor $(BENCH_NS_FLOOR) $(BENCH_OLD) $(BENCH_NEW)
+# perfbench/ is its own Go module, so `go build ./...` never compiles it;
+# vet it here so a break in the library API it uses fails ci, not the
+# benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) vet .
 
 # Native fuzzing over every parser/validator entry point. Go allows one
 # -fuzz target per invocation, so each runs for FUZZTIME in turn. Plain
@@ -142,12 +111,12 @@ kill-resume:
 check: build vet test race
 
 # ci is the documented verification entry point: build, vet, the coverage
-# floor, the race pass, the benchmark smoke pass, the trace-format round-trip
-# gate, the kill/resume crash-safety gate, a short pass of every fuzz target,
+# floor, the race pass, the benchmark smoke pass, the benchmark module's
+# build, the trace-format round-trip gate, the kill/resume crash-safety gate, a short pass of every fuzz target,
 # a quick-mode experiment smoke run through the parallel scheduler, and a
 # fully audited honest run on each preset (the auditor fails the command on
 # any invariant violation).
-ci: build vet cover race bench-smoke trace-roundtrip kill-resume fuzz-smoke
+ci: build vet cover race bench-smoke perfbench-build trace-roundtrip kill-resume fuzz-smoke
 	$(GO) run ./cmd/g2gexp -experiment secV -quick -jobs 0 >/dev/null
 	$(GO) run ./cmd/g2gsim -preset infocom05 -protocol g2g-epidemic -ttl 10m -interval 60s -audit >/dev/null
 	$(GO) run ./cmd/g2gsim -preset cambridge06 -protocol g2g-delegation-frequency -ttl 10m -interval 60s -audit >/dev/null

@@ -9,8 +9,6 @@ package give2get
 // show up as metric drift, not just wall-time drift.
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -26,68 +24,19 @@ import (
 	"give2get/internal/trace"
 )
 
-// benchOpts is the reduced workload every benchmark uses.
-func benchOpts() experiments.Options {
-	return experiments.Options{Quick: true, Seed: 1}
-}
-
-// benchTelemetry is the registry shared by every benchmark of the run when
-// G2G_BENCH_TELEMETRY names an output file (see `make bench-smoke`): the
-// experiment benchmarks record into it and the aggregated snapshot — with the
-// per-phase span table — lands in that file for `benchjson -phases`.
-var (
-	benchTelemetryOnce sync.Once
-	benchTelemetry     *Metrics
-)
-
-func benchTelemetryRegistry() *Metrics {
-	if os.Getenv("G2G_BENCH_TELEMETRY") == "" {
-		return nil
-	}
-	benchTelemetryOnce.Do(func() { benchTelemetry = NewMetrics() })
-	return benchTelemetry
-}
-
-// writeBenchTelemetry freezes the shared registry into the requested file.
-// Every finishing benchmark rewrites it, so the file always holds the
-// aggregate over everything that ran so far.
-func writeBenchTelemetry(b *testing.B, reg *Metrics) {
-	b.Helper()
-	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(os.Getenv("G2G_BENCH_TELEMETRY"), append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// runExperimentBench drives one experiment per iteration and lets the caller
-// pull metrics out of the resulting tables.
+// runExperimentBench drives one experiment per iteration at the reduced
+// (quick) workload and lets the caller pull metrics out of the resulting
+// tables.
 func runExperimentBench(b *testing.B, id string, report func(b *testing.B, tables []*metrics.Table)) {
 	b.Helper()
-	opts := benchOpts()
-	if reg := benchTelemetryRegistry(); reg != nil {
-		opts.Telemetry = reg
-		b.Cleanup(func() { writeBenchTelemetry(b, reg) })
-	}
+	opts := experiments.Options{Quick: true, Seed: 1}
 	for i := 0; i < b.N; i++ {
 		tables, err := experiments.Run(id, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			if report != nil {
-				report(b, tables)
-			}
-			if os.Getenv("G2G_BENCH_PRINT") != "" {
-				for _, tbl := range tables {
-					if err := tbl.Render(os.Stdout); err != nil {
-						b.Fatal(err)
-					}
-					fmt.Println()
-				}
-			}
+		if i == 0 && report != nil {
+			report(b, tables)
 		}
 	}
 }
@@ -127,57 +76,6 @@ func BenchmarkTable1G2GDelegation(b *testing.B) {
 // deviants under G2G Delegation.
 func BenchmarkFig7DetectionTime(b *testing.B) {
 	runExperimentBench(b, "fig7", nil)
-}
-
-// reportSpanMetrics attaches the crypto-heavy spans' per-iteration self time
-// to the benchmark output as custom `<span>-ns/op` metrics. benchjson's diff
-// gates any shared metric whose unit ends in -ns/op with the same tolerance
-// as ns/op, so a regression localized to HMAC work, PoR handling, or PoM
-// validation fails bench-diff by name instead of hiding inside total wall.
-func reportSpanMetrics(b *testing.B, reg *Metrics) {
-	b.Helper()
-	for _, sp := range reg.Snapshot().Spans {
-		switch sp.Name {
-		case "crypto_hmac", "por", "pom":
-			b.ReportMetric(float64(sp.SelfNS)/float64(b.N), sp.Name+"-ns/op")
-		}
-	}
-}
-
-// BenchmarkFig7DetectionTimeTelemetry is BenchmarkFig7DetectionTime with a
-// live telemetry registry attached to every run: the span profiler's
-// enabled-path overhead benchmark. Compare its ns/op against
-// BenchmarkFig7DetectionTime in the same report — the gap is what per-phase
-// profiling costs on a real experiment (the budget is under 5%). Its span
-// metrics feed the per-phase ns gate in bench-diff.
-func BenchmarkFig7DetectionTimeTelemetry(b *testing.B) {
-	reg := NewMetrics()
-	opts := benchOpts()
-	opts.Telemetry = reg
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run("fig7", opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(reg.Snapshot().Spans)), "phases")
-	reportSpanMetrics(b, reg)
-}
-
-// BenchmarkTable1G2GDelegationTelemetry is BenchmarkTable1G2GDelegation with
-// a private telemetry registry, existing for its span metrics: Table I is the
-// delegation-side crypto workload, so its crypto_hmac/por/pom per-phase
-// timings complete the bench-diff gate the Fig. 7 variant covers for the
-// epidemic side.
-func BenchmarkTable1G2GDelegationTelemetry(b *testing.B) {
-	reg := NewMetrics()
-	opts := benchOpts()
-	opts.Telemetry = reg
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run("table1", opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSpanMetrics(b, reg)
 }
 
 // The 100k-node trace BenchmarkLargeTrace replays is generated once per

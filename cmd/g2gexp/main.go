@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		ckptDir    = fs.String("checkpoint-dir", "", "directory for crash-safe state: completed runs are journaled there (one subdirectory per experiment), SIGINT/SIGTERM flushes in-flight checkpoints, and -resume continues")
 		ckptEvery  = fs.Duration("checkpoint-every", 0, "virtual-time period between periodic per-run checkpoints (0 = flush only on interruption)")
 		resume     = fs.Bool("resume", false, "continue an interrupted experiment from the state in -checkpoint-dir")
-		retries    = fs.Int("retries", 0, "re-attempt failed simulations this many times with exponential backoff")
 	)
 	var prof obs.Profiler
 	prof.RegisterFlags(fs)
@@ -77,13 +76,16 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *resume && *ckptDir == "" {
 		return errors.New("-resume requires -checkpoint-dir")
 	}
+	if *ckptEvery != 0 && *ckptDir == "" {
+		return errors.New("-checkpoint-every requires -checkpoint-dir")
+	}
 	// SIGINT/SIGTERM cancel the sweep gracefully: in-flight runs flush
 	// their checkpoints and the journal keeps everything already finished.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
 	opts := experiments.Options{Quick: *quick, Tiny: *tiny, Audit: *audit, Seed: *seed, Repeats: *repeats, Jobs: *jobs, TracePath: *tracePath,
-		Context: ctx, CheckpointEvery: sim.Time(*ckptEvery), Resume: *resume, Retries: *retries}
+		Context: ctx, CheckpointEvery: sim.Time(*ckptEvery), Resume: *resume}
 	if *verbose {
 		opts.Progress = stderr
 	}
@@ -145,13 +147,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if *telemetry != "" {
-		b, err := json.MarshalIndent(opts.Telemetry.Snapshot(), "", "  ")
+		snap := opts.Telemetry.Snapshot()
+		b, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(*telemetry, append(b, '\n'), 0o644); err != nil {
 			return err
 		}
+		obs.WritePhaseTable(stderr, snap.Spans)
 	}
 	return nil
 }

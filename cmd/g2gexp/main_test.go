@@ -34,6 +34,11 @@ func TestRunSingleExperimentQuick(t *testing.T) {
 	if !strings.Contains(errOut.String(), "secV") {
 		t.Errorf("verbose progress missing:\n%s", errOut.String())
 	}
+	for _, want := range []string{"self%", "session", "sweep_dispatch"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("phase table missing %q on stderr:\n%s", want, errOut.String())
+		}
+	}
 	b, err := os.ReadFile(report)
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +124,16 @@ func TestRunUnknownExperiment(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-experiment", "bogus"}, &out, &errOut); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestRunCheckpointEveryNeedsDir: periodic checkpoints have nowhere to go
+// without -checkpoint-dir, so the flag is rejected rather than ignored.
+func TestRunCheckpointEveryNeedsDir(t *testing.T) {
+	var out, errOut bytes.Buffer
+	err := run([]string{"-experiment", "secV", "-tiny", "-checkpoint-every", "10m"}, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint-every requires -checkpoint-dir") {
+		t.Fatalf("err = %v, want the -checkpoint-dir requirement", err)
 	}
 }
 

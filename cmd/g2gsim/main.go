@@ -77,6 +77,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *resume && *ckptDir == "" {
 		return errors.New("-resume requires -checkpoint-dir")
 	}
+	if *ckptEvery != 0 && *ckptDir == "" {
+		return errors.New("-checkpoint-every requires -checkpoint-dir")
+	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return err
@@ -264,6 +267,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		fmt.Fprintf(stdout, "telemetry:   %d events (%.0f events/s) -> %s\n",
 			res.Telemetry.Sim.EventsFired, res.Telemetry.EventsPerSec(), *telemetry)
+		obs.WritePhaseTable(stderr, res.Telemetry.Spans)
 	}
 	return nil
 }

@@ -80,6 +80,7 @@ func TestRunErrors(t *testing.T) {
 		{name: "missing trace file", args: []string{"-trace", "/does/not/exist"}},
 		{name: "bad flag", args: []string{"-nope"}},
 		{name: "unknown deviation", args: []string{"-deviants", "3", "-deviation", "bogus", "-interval", "2m"}},
+		{name: "checkpoint-every without checkpoint-dir", args: []string{"-interval", "2m", "-checkpoint-every", "10m"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -107,6 +108,13 @@ func TestRunTelemetryReport(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "telemetry:") {
 		t.Errorf("no telemetry line:\n%s", out.String())
+	}
+	// The per-phase span table goes to stderr, keeping stdout's metrics
+	// lines unchanged.
+	for _, want := range []string{"self%", "trace_load", "session"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("phase table missing %q on stderr:\n%s", want, errOut.String())
+		}
 	}
 
 	b, err := os.ReadFile(report)

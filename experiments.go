@@ -23,7 +23,6 @@ func runExperiment(id string, opts ExperimentOptions) (string, error) {
 		CheckpointDir:   opts.CheckpointDir,
 		CheckpointEvery: sim.Time(opts.CheckpointEvery),
 		Resume:          opts.Resume,
-		Retries:         opts.Retries,
 	})
 	if err != nil {
 		return "", err

@@ -232,6 +232,9 @@ func engineConfig(cfg SimulationConfig, seed int64) (engine.Config, error) {
 	if cfg.TTL <= 0 {
 		return engine.Config{}, errors.New("give2get: TTL must be positive")
 	}
+	if cfg.WindowStart < 0 {
+		return engine.Config{}, fmt.Errorf("give2get: window start %v is negative", cfg.WindowStart)
+	}
 
 	deviation := protocol.Honest
 	switch cfg.Deviation {
@@ -375,9 +378,6 @@ type SweepConfig struct {
 	// CheckpointEvery is the virtual-time period between per-repeat
 	// checkpoints; zero flushes only on cancellation.
 	CheckpointEvery time.Duration
-	// Retries re-attempts failed repeats this many times with exponential
-	// backoff. Interruptions and audit failures are never retried.
-	Retries int
 }
 
 // SweepResult aggregates a sweep: the per-repeat results in seed order plus
@@ -426,7 +426,6 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		Resume:          cfg.Resume,
 		CheckpointDir:   cfg.CheckpointDir,
 		CheckpointEvery: sim.Time(cfg.CheckpointEvery),
-		Retries:         cfg.Retries,
 	})
 	if err != nil {
 		return nil, err
@@ -490,9 +489,6 @@ type ExperimentOptions struct {
 	// CheckpointDir: journaled runs are restored without re-executing,
 	// in-flight runs restart from their checkpoint.
 	Resume bool
-	// Retries re-attempts failed simulations this many times with
-	// exponential backoff before the experiment fails.
-	Retries int
 }
 
 // RunExperiment regenerates one of the paper's tables or figures and returns

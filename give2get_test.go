@@ -196,19 +196,27 @@ func TestRunValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*SimulationConfig)
+		// want, when set, must appear in the error message.
+		want string
 	}{
 		{name: "nil trace", mutate: func(c *SimulationConfig) { c.Trace = nil }},
 		{name: "bad protocol", mutate: func(c *SimulationConfig) { c.Protocol = "bogus" }},
 		{name: "zero ttl", mutate: func(c *SimulationConfig) { c.TTL = 0 }},
 		{name: "bad deviation", mutate: func(c *SimulationConfig) { c.Deviation = "bogus" }},
 		{name: "deviant out of range", mutate: func(c *SimulationConfig) { c.Deviants = []int{999} }},
+		{name: "negative window start", mutate: func(c *SimulationConfig) { c.WindowStart = -time.Hour },
+			want: "give2get: window start -1h0m0s is negative"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := quickConfig(t, Epidemic)
 			tt.mutate(&cfg)
-			if _, err := Run(cfg); err == nil {
-				t.Error("invalid config accepted")
+			_, err := Run(cfg)
+			if err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not contain %q", err, tt.want)
 			}
 		})
 	}

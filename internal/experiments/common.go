@@ -63,9 +63,6 @@ type Options struct {
 	// completed runs and restarting interrupted ones from their
 	// checkpoints.
 	Resume bool
-	// Retries re-attempts transiently failed runs (with backoff) before
-	// the failure sticks.
-	Retries int
 }
 
 // scenarios returns the experiment's datasets, rebound to Options.TracePath
@@ -284,7 +281,6 @@ func (b *batch) run() error {
 		Progress:    b.opts.Progress,
 		StrictAudit: b.opts.Audit,
 		Context:     b.opts.Context,
-		Retries:     b.opts.Retries,
 	}
 	if b.opts.CheckpointDir != "" {
 		ropts.Journal = filepath.Join(b.opts.CheckpointDir, "sweep.journal")

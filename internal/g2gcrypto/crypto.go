@@ -1,9 +1,9 @@
 // Package g2gcrypto supplies the cryptographic capabilities the paper's
 // system model assumes (Section III): every node holds a key pair whose
-// public part is certified by a trusted authority that stays offline after
-// setup; nodes sign control messages, negotiate authenticated sessions, seal
-// message bodies for the destination only, and compute a deliberately heavy
-// HMAC as a proof of storage.
+// public part is fixed at setup by a trusted authority that stays offline
+// afterwards (each provider's setup-time key table plays that authority);
+// nodes sign control messages, seal message bodies for the destination only,
+// and compute a deliberately heavy HMAC as a proof of storage.
 //
 // Two interchangeable providers implement the System interface:
 //
@@ -17,7 +17,6 @@
 package g2gcrypto
 
 import (
-	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -55,7 +54,7 @@ type Identity interface {
 	Open(box []byte) ([]byte, error)
 }
 
-// System models the deployed PKI: the authority has issued certificates for
+// System models the deployed PKI: the authority has fixed the public keys of
 // a fixed population, so any node can verify any other node's signatures and
 // seal content for any destination using public information only.
 type System interface {
@@ -72,19 +71,6 @@ type System interface {
 	// blob hides the plaintext (including the sender identity embedded in
 	// it, which is what keeps relays blind to the message source).
 	SealFor(dest trace.NodeID, plaintext []byte) ([]byte, error)
-}
-
-// CertifiedSystem is implemented by providers that expose the paper's
-// explicit certificate chain (the Real provider): an offline authority key
-// and per-node certificates, enabling authenticated session establishment
-// between any two nodes.
-type CertifiedSystem interface {
-	System
-	// AuthorityKey returns the trusted authority's verification key, which
-	// every node is provisioned with at setup.
-	AuthorityKey() ed25519.PublicKey
-	// Certificate returns the authority-signed certificate of node n.
-	Certificate(n trace.NodeID) (Certificate, error)
 }
 
 // SessionKey is a symmetric key used for the Ek(m) step of the relay phase

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"io"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -153,6 +155,35 @@ func (s *SpanStats) snapshot() []SpanSnapshot {
 		})
 	}
 	return out
+}
+
+// WritePhaseTable renders a snapshot's spans as a table: one row per span in
+// the given (declaration) order, with self time as a share of the total self
+// time — the column that says where the wall clock went, since self time
+// excludes nested spans and so sums without double counting. An empty slice
+// (a run without telemetry) writes nothing.
+func WritePhaseTable(w io.Writer, spans []SpanSnapshot) {
+	if len(spans) == 0 {
+		return
+	}
+	var totalSelf int64
+	for _, sp := range spans {
+		totalSelf += sp.SelfNS
+	}
+	fmt.Fprintf(w, "%-18s %12s %14s %14s %12s %7s\n",
+		"phase", "count", "wall", "self", "mean", "self%")
+	for _, sp := range spans {
+		share := 0.0
+		if totalSelf > 0 {
+			share = float64(sp.SelfNS) / float64(totalSelf) * 100
+		}
+		fmt.Fprintf(w, "%-18s %12d %14s %14s %12s %6.1f%%\n",
+			sp.Name, sp.Count,
+			time.Duration(sp.WallNS).Round(time.Microsecond),
+			time.Duration(sp.SelfNS).Round(time.Microsecond),
+			time.Duration(sp.MeanNS).Round(time.Nanosecond),
+			share)
+	}
 }
 
 // spanStackDepth bounds the recorder's nesting; the deepest real chain

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -162,8 +163,37 @@ func TestSpanSnapshot(t *testing.T) {
 	}
 }
 
+// TestWritePhaseTable renders the span breakdown of a telemetry snapshot.
+func TestWritePhaseTable(t *testing.T) {
+	var sb strings.Builder
+	WritePhaseTable(&sb, []SpanSnapshot{
+		{Name: "session", Count: 10, WallNS: 5000000, SelfNS: 3000000, MeanNS: 500000},
+		{Name: "crypto_hmac", Count: 40, WallNS: 2000000, SelfNS: 2000000, MeanNS: 50000},
+	})
+	got := sb.String()
+	for _, want := range []string{"session", "crypto_hmac", "60.0%", "40.0%", "5ms", "50µs"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("phase table missing %q:\n%s", want, got)
+		}
+	}
+	// The header row orders the columns the docs promise.
+	if !strings.HasPrefix(got, "phase") || !strings.Contains(got, "self%") {
+		t.Errorf("phase table header malformed:\n%s", got)
+	}
+}
+
+// TestWritePhaseTableEmpty: a snapshot without spans (a telemetry-disabled
+// run) renders nothing, not a header over no rows.
+func TestWritePhaseTableEmpty(t *testing.T) {
+	var sb strings.Builder
+	WritePhaseTable(&sb, nil)
+	if sb.Len() != 0 {
+		t.Fatalf("spanless snapshot rendered:\n%s", sb.String())
+	}
+}
+
 // TestSpanNames pins every span's snake_case name: these are schema keys in
-// telemetry snapshots and benchjson tables, so renames are breaking changes.
+// telemetry snapshots and phase tables, so renames are breaking changes.
 func TestSpanNames(t *testing.T) {
 	want := map[Span]string{
 		SpanTraceLoad: "trace_load",

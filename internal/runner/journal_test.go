@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,47 +211,5 @@ func TestCancelledSweepResumesIdentical(t *testing.T) {
 	}
 	if len(leftover) != 0 {
 		t.Errorf("checkpoints left after a completed sweep: %v", leftover)
-	}
-}
-
-// flakySource fails its first Cursor open, then behaves; the retry test's
-// stand-in for transient I/O.
-type flakySource struct {
-	trace.Source
-	failures atomic.Int32
-}
-
-func (f *flakySource) Cursor() (trace.Cursor, error) {
-	if f.failures.Add(-1) >= 0 {
-		return nil, errors.New("transient open failure")
-	}
-	return f.Source.Cursor()
-}
-
-// TestRetryRecoversTransientFailure pins retry-with-backoff: a run whose
-// trace source fails once succeeds on the retry; with retries disabled the
-// same failure sticks.
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	tr := testTrace(t)
-
-	flaky := &flakySource{Source: tr}
-	flaky.failures.Store(1)
-	cfg := baseConfig(tr, 1)
-	cfg.Trace = flaky
-	out, err := Run([]Spec{{Label: "flaky", Config: cfg}},
-		Options{Jobs: 1, Retries: 1, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatalf("retried run still failed: %v", err)
-	}
-	if out[0].Result == nil || out[0].Result.Summary.Generated == 0 {
-		t.Fatalf("retried run produced no result: %+v", out[0])
-	}
-
-	flaky2 := &flakySource{Source: tr}
-	flaky2.failures.Store(1)
-	cfg2 := baseConfig(tr, 1)
-	cfg2.Trace = flaky2
-	if _, err := Run([]Spec{{Label: "flaky", Config: cfg2}}, Options{Jobs: 1}); err == nil {
-		t.Fatal("transient failure passed without retries")
 	}
 }

@@ -109,12 +109,6 @@ type Options struct {
 	// CheckpointEvery is the virtual-time period of periodic checkpoint
 	// emission within each run; 0 flushes only on graceful interruption.
 	CheckpointEvery sim.Time
-	// Retries is how many times a failed run is re-attempted before its
-	// error sticks. Interruptions and audit failures are never retried.
-	Retries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt (default 1s).
-	RetryBackoff time.Duration
 }
 
 // Outcome is the result slot of one spec, indexed like the input specs.
@@ -233,7 +227,7 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 				cfg.Checkpoint = engine.CheckpointConfig{Path: ckpt, Every: opts.CheckpointEvery}
 			}
 			start := time.Now()
-			res, err := runSpec(cfg, ckpt, opts)
+			res, err := runSpec(cfg, ckpt)
 			runWall := time.Since(start)
 			err = promoteAudit(err, opts.StrictAudit, res)
 			if err == nil && jnl != nil {
@@ -291,35 +285,10 @@ func Run(specs []Spec, opts Options) ([]Outcome, error) {
 	return out, batchError(out)
 }
 
-// runSpec executes one spec with checkpoint-aware restart and bounded
-// retry. Interruptions are returned immediately — the flushed checkpoint is
-// the restart point, not a failure to retry.
-func runSpec(cfg engine.Config, ckpt string, opts Options) (*engine.Result, error) {
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = time.Second
-	}
-	for attempt := 0; ; attempt++ {
-		res, err := runOnce(cfg, ckpt)
-		if err == nil || errors.Is(err, engine.ErrInterrupted) || attempt >= opts.Retries {
-			return res, err
-		}
-		if opts.Context != nil {
-			select {
-			case <-opts.Context.Done():
-				return res, err
-			case <-time.After(backoff << attempt):
-			}
-		} else {
-			time.Sleep(backoff << attempt)
-		}
-	}
-}
-
-// runOnce resumes from the spec's checkpoint when one exists, falling back
+// runSpec resumes from the spec's checkpoint when one exists, falling back
 // to a clean run when the checkpoint is corrupt, stale, or mismatched — a
 // bad restart point must never sink the spec.
-func runOnce(cfg engine.Config, ckpt string) (*engine.Result, error) {
+func runSpec(cfg engine.Config, ckpt string) (*engine.Result, error) {
 	if ckpt != "" {
 		if _, err := os.Stat(ckpt); err == nil {
 			res, err := engine.Resume(ckpt, cfg)
